@@ -156,13 +156,6 @@ type Options struct {
 	// the paper's Table I placement on typical hosts. Pinning failures
 	// are ignored (the run proceeds unpinned).
 	PinThreads bool
-	// ProbeBatch enables software pipelining of the bitmap probes in
-	// the single-socket tier: neighbours are processed in blocks of
-	// this size, with all of a block's independent probe loads issued
-	// before any claim logic runs — the Go analogue of the paper's
-	// carefully placed _mm_prefetch intrinsics that keep multiple
-	// memory requests in flight (Fig. 2). 0 disables batching.
-	ProbeBatch int
 	// Tracer receives observability callbacks (level start/end, remote
 	// batch flushes, barrier waits). Implementations must be safe for
 	// concurrent use: OnRemoteBatch and OnBarrierWait fire from worker

@@ -189,14 +189,26 @@ func TestMoreThreadsThanVertices(t *testing.T) {
 
 func TestDisableDoubleCheck(t *testing.T) {
 	g := must(gen.Uniform(1000, 8, 5))
-	for _, alg := range []Algorithm{AlgSingleSocket, AlgMultiSocket} {
-		res := run(t, g, 0, Options{
-			Algorithm:          alg,
-			Threads:            4,
-			Machine:            topology.NehalemEP,
-			DisableDoubleCheck: true,
-			Instrument:         true,
-		})
+	cases := []struct {
+		name string
+		opt  Options
+	}{
+		{"single-socket", Options{Algorithm: AlgSingleSocket}},
+		{"multi-socket", Options{Algorithm: AlgMultiSocket}},
+		// A budget of 4 makes every vertex a hub, so every edge goes
+		// through the hub-drain path.
+		{"single-socket/hubs", Options{Algorithm: AlgSingleSocket, EdgeBudget: 4}},
+		{"multi-socket/hubs", Options{Algorithm: AlgMultiSocket, EdgeBudget: 4}},
+		// Alpha 1 never switches to bottom-up: every level is top-down.
+		{"direction-optimizing/top-down", Options{Algorithm: AlgDirectionOptimizing, HybridAlpha: 1}},
+	}
+	for _, c := range cases {
+		opt := c.opt
+		opt.Threads = 4
+		opt.Machine = topology.NehalemEP
+		opt.DisableDoubleCheck = true
+		opt.Instrument = true
+		res := run(t, g, 0, opt)
 		validate(t, g, res)
 		// Without the double check every scanned neighbour costs an
 		// atomic op and no plain probes happen.
@@ -207,10 +219,10 @@ func TestDisableDoubleCheck(t *testing.T) {
 			edges += ls.Edges
 		}
 		if probes != 0 {
-			t.Errorf("%v: %d bitmap probes with double-check disabled", alg, probes)
+			t.Errorf("%s: %d bitmap probes with double-check disabled", c.name, probes)
 		}
 		if atomics != edges {
-			t.Errorf("%v: atomics = %d, want one per scanned edge %d", alg, atomics, edges)
+			t.Errorf("%s: atomics = %d, want one per scanned edge %d", c.name, atomics, edges)
 		}
 	}
 }
@@ -246,27 +258,53 @@ func TestDoubleCheckReducesAtomics(t *testing.T) {
 }
 
 func TestInstrumentationConsistency(t *testing.T) {
-	g := must(gen.Uniform(3000, 8, 7))
-	for _, alg := range allAlgorithms {
-		res := run(t, g, 0, Options{
-			Algorithm:  alg,
-			Threads:    4,
-			Machine:    topology.NehalemEP,
-			Instrument: true,
-		})
-		if len(res.PerLevel) != res.Levels {
-			t.Errorf("%v: %d PerLevel entries, %d levels", alg, len(res.PerLevel), res.Levels)
-		}
-		var frontier, edges int64
-		for _, ls := range res.PerLevel {
-			frontier += ls.Frontier
-			edges += ls.Edges
-		}
-		if frontier != res.Reached {
-			t.Errorf("%v: sum of frontiers %d != reached %d", alg, frontier, res.Reached)
-		}
-		if edges != res.EdgesTraversed {
-			t.Errorf("%v: sum of level edges %d != EdgesTraversed %d", alg, edges, res.EdgesTraversed)
+	graphs := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"uniform", must(gen.Uniform(3000, 8, 7))},
+		{"rmat12", must(gen.RMAT(12, 16<<12, gen.Graph500Params, 7))},
+	}
+	// Budget 4 sends every vertex through the hub board; 0 is the
+	// automatic budget; EdgeBudgetOff is fixed vertex-count chunking.
+	budgets := []int64{4, 0, EdgeBudgetOff}
+	algs := append(append([]Algorithm(nil), allAlgorithms...), AlgDirectionOptimizing)
+	for _, gc := range graphs {
+		ref := run(t, gc.g, 0, Options{Algorithm: AlgSequential})
+		for _, alg := range algs {
+			for _, budget := range budgets {
+				res := run(t, gc.g, 0, Options{
+					Algorithm:  alg,
+					Threads:    4,
+					Machine:    topology.NehalemEP,
+					EdgeBudget: budget,
+					Instrument: true,
+				})
+				if len(res.PerLevel) != res.Levels {
+					t.Errorf("%s/%v/budget=%d: %d PerLevel entries, %d levels",
+						gc.name, alg, budget, len(res.PerLevel), res.Levels)
+				}
+				var frontier, edges int64
+				for _, ls := range res.PerLevel {
+					frontier += ls.Frontier
+					edges += ls.Edges
+				}
+				if frontier != res.Reached {
+					t.Errorf("%s/%v/budget=%d: sum of frontiers %d != reached %d",
+						gc.name, alg, budget, frontier, res.Reached)
+				}
+				if edges != res.EdgesTraversed {
+					t.Errorf("%s/%v/budget=%d: sum of level edges %d != EdgesTraversed %d",
+						gc.name, alg, budget, edges, res.EdgesTraversed)
+				}
+				// Top-down tiers scan every edge of every reached vertex
+				// exactly once, hub ranges included; bottom-up levels
+				// exit early, so the hybrid scans fewer.
+				if alg != AlgDirectionOptimizing && res.EdgesTraversed != ref.EdgesTraversed {
+					t.Errorf("%s/%v/budget=%d: EdgesTraversed %d, sequential scans %d",
+						gc.name, alg, budget, res.EdgesTraversed, ref.EdgesTraversed)
+				}
+			}
 		}
 	}
 }
@@ -540,52 +578,6 @@ func TestRemoteSendsOnlyAcrossSockets(t *testing.T) {
 	frac := float64(sends2) / float64(res2.EdgesTraversed)
 	if frac < 0.3 || frac > 0.7 {
 		t.Errorf("remote fraction = %.2f, want ~0.5 for a uniform graph over 2 sockets", frac)
-	}
-}
-
-func TestProbeBatchMatchesDirect(t *testing.T) {
-	g := must(gen.Uniform(10000, 12, 23))
-	ref := run(t, g, 0, Options{Algorithm: AlgSequential})
-	for _, pb := range []int{1, 4, 16, 64} {
-		res := run(t, g, 0, Options{
-			Algorithm:  AlgSingleSocket,
-			Threads:    4,
-			ProbeBatch: pb,
-			Instrument: true,
-		})
-		validate(t, g, res)
-		if res.Reached != ref.Reached || res.EdgesTraversed != ref.EdgesTraversed {
-			t.Errorf("probeBatch=%d: Reached=%d/%d Edges=%d/%d", pb,
-				res.Reached, ref.Reached, res.EdgesTraversed, ref.EdgesTraversed)
-		}
-		// Every neighbour still gets exactly one probe.
-		var probes, edges int64
-		for _, ls := range res.PerLevel {
-			probes += ls.BitmapReads
-			edges += ls.Edges
-		}
-		if probes != edges {
-			t.Errorf("probeBatch=%d: probes=%d, want one per edge %d", pb, probes, edges)
-		}
-	}
-}
-
-func TestProbeBatchIgnoredWithDoubleCheckDisabled(t *testing.T) {
-	g := must(gen.Uniform(2000, 8, 24))
-	res := run(t, g, 0, Options{
-		Algorithm:          AlgSingleSocket,
-		Threads:            2,
-		ProbeBatch:         16,
-		DisableDoubleCheck: true,
-		Instrument:         true,
-	})
-	validate(t, g, res)
-	var probes int64
-	for _, ls := range res.PerLevel {
-		probes += ls.BitmapReads
-	}
-	if probes != 0 {
-		t.Errorf("probes = %d with double check disabled", probes)
 	}
 }
 

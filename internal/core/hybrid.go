@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"mcbfs/internal/graph"
 	"mcbfs/internal/obs"
 )
@@ -38,262 +36,109 @@ const (
 	defaultHybridBeta  = 24
 )
 
-// hybridWorker runs the hybrid top-down/bottom-up search over the
-// session's monotone queue: the current frontier is the window
-// [prevLimit, limit), read by Window in bottom-up levels (which never
-// pop) and popped by PopChunkBounded in top-down ones; the coordinator
-// realigns the consume cursor at each level transition.
-func (s *Searcher) hybridWorker(w int) {
-	ws := &s.ws[w]
-	wr := s.coll.Worker(w)
-	o := &s.o
-	g, gt := s.g, s.gt
-	offs := g.Offsets()
-	tgts := g.Targets()
-	budget := s.edgeBudget
-	hubs := s.hubs
+// bottomUpLevel is worker w's share of one bottom-up level of the
+// direction-optimizing tier; top-down levels run the shared level
+// driver with the single-socket kernel. The current frontier is the
+// window [prevLimit, limit) of the session's monotone queue, read by
+// Window (bottom-up levels never pop it; advance realigns the consume
+// cursor afterwards).
+func (s *Searcher) bottomUpLevel(ws *searchWorker, w int) {
+	wr := ws.wr
+	gt := s.gt
 	workers := s.workers
-	var myEdges, myReached int64
-	local := ws.local[:0]
-	flush := func() {
-		s.q.PushBatch(local)
-		local = local[:0]
-	}
 
-	// Range partition for the bottom-up pass: worker w owns
-	// [myLo, myHi), so each unvisited vertex is examined by exactly
-	// one worker and claims itself with plain writes. Boundaries stay
-	// aligned to 64-vertex words so a worker's visited/parent updates
-	// never share a cache word's vertices with a neighbour's range.
-	// With edge budgeting the boundaries come from an edge-prefix-sum
-	// partition of the transpose (s.buPart), giving each worker ~equal
-	// in-edge mass instead of ~equal vertex count; without it the
-	// legacy uniform vertex split applies.
-	var myLo, myHi int
+	// Range partition for the sweep: worker w owns [lo, hi), so each
+	// unvisited vertex is examined by exactly one worker and claims
+	// itself with plain writes. Boundaries stay aligned to 64-vertex
+	// words so a worker's visited/parent updates never share a cache
+	// word's vertices with a neighbour's range. With edge budgeting the
+	// boundaries come from an edge-prefix-sum partition of the
+	// transpose (s.buPart), giving each worker ~equal in-edge mass
+	// instead of ~equal vertex count; without it the legacy uniform
+	// vertex split applies.
+	var lo, hi int
 	if s.buPart != nil {
-		myLo, myHi = s.buPart[w], s.buPart[w+1]
+		lo, hi = s.buPart[w], s.buPart[w+1]
 	} else {
 		words := (s.n + 63) / 64
-		myLo = words * w / workers * 64
-		myHi = words * (w + 1) / workers * 64
-		if myHi > s.n {
-			myHi = s.n
+		lo = words * w / workers * 64
+		hi = words * (w + 1) / workers * 64
+		if hi > s.n {
+			hi = s.n
 		}
 	}
 
-	prev, limit := s.prevLimit, s.limit
-	checkpoints := 0
-	for {
-		var stats LevelStats
-		if s.bottomUp.Load() {
-			// Build the frontier bitmap from an index partition of the
-			// current window: worker w sets the bits of its chunk,
-			// O(frontier/P) rather than every worker filter-scanning
-			// the whole frontier (O(frontier*P) total). Chunks hold
-			// arbitrary vertices, so bits are set with the atomic
-			// bitmap's word-OR.
-			tp := wr.PhaseStart()
-			frontierVerts := s.q.Window(prev, limit)
-			flo := len(frontierVerts) * w / workers
-			fhi := len(frontierVerts) * (w + 1) / workers
-			for _, v := range frontierVerts[flo:fhi] {
-				s.frontier.Set(int(v))
-			}
-			wr.PhaseEnd(obs.PhaseFrontierBuild, tp)
-			tp = wr.PhaseStart()
-			s.bar.wait()
-			wr.PhaseEnd(obs.PhaseBarrierWait, tp)
-
-			// Bottom-up sweep over this worker's unvisited range. The
-			// cancellation checkpoint sits off the per-vertex path (the
-			// sweep's selling point is no atomics); an abort skips the
-			// rest of the range but still runs the flush, barrier and
-			// frontier-clear passes below, so no stale frontier bit or
-			// unqueued claim survives into the next search.
-			tp = wr.PhaseStart()
-			for v := myLo; v < myHi; v++ {
-				if v&4095 == 0 && s.aborted(&checkpoints) {
-					break
-				}
-				if s.visited.Get(v) {
-					continue
-				}
-				stats.BitmapReads++
-				for _, u := range gt.Neighbors(graph.Vertex(v)) {
-					stats.Edges++
-					if s.frontier.Get(int(u)) {
-						// Sole owner of v: plain writes suffice.
-						s.visited.Set(v)
-						s.parents[v] = uint32(u)
-						myReached++
-						local = append(local, uint32(v))
-						if len(local) == cap(local) {
-							flush()
-						}
-						break
-					}
-				}
-			}
-			flush()
-			wr.PhaseEnd(obs.PhaseBottomUpScan, tp)
-
-			// Everyone must finish sweeping before anyone clears: a
-			// cleared bit would hide a frontier parent from a worker
-			// still scanning, deferring the discovery one level and
-			// corrupting BFS depths.
-			tp = wr.PhaseStart()
-			s.bar.wait()
-			wr.PhaseEnd(obs.PhaseBarrierWait, tp)
-
-			// Clear this chunk's frontier bits for the next level —
-			// the same index partition and atomic word ops as the
-			// build pass.
-			tp = wr.PhaseStart()
-			for _, v := range frontierVerts[flo:fhi] {
-				s.frontier.Clear(int(v))
-			}
-			wr.PhaseEnd(obs.PhaseFrontierBuild, tp)
-		} else {
-			// Top-down: identical to the single-socket algorithm,
-			// including its per-chunk cancellation checkpoint and the
-			// degree-aware claim/split/drain protocol.
-			tp := wr.PhaseStart()
-			for {
-				if s.aborted(&checkpoints) {
-					break
-				}
-				var chunk []uint32
-				if budget > 0 {
-					chunk = s.q.PopChunkEdges(o.ChunkSize, budget, limit, offs)
-				} else {
-					chunk = s.q.PopChunkBounded(o.ChunkSize, limit)
-				}
-				posted := false
-				for _, u := range chunk {
-					if hubs != nil && offs[u+1]-offs[u] > budget {
-						hubs.post(u, offs[u], offs[u+1])
-						stats.Frontier++
-						posted = true
-						continue
-					}
-					nbrs := g.Neighbors(graph.Vertex(u))
-					stats.Frontier++
-					stats.Edges += int64(len(nbrs))
-					for _, v := range nbrs {
-						if !o.DisableDoubleCheck {
-							stats.BitmapReads++
-							if s.visited.Get(int(v)) {
-								continue
-							}
-						}
-						stats.AtomicOps++
-						if !s.visited.TestAndSet(int(v)) {
-							s.parents[v] = u
-							myReached++
-							local = append(local, v)
-							if len(local) == cap(local) {
-								flush()
-							}
-						}
-					}
-				}
-				if hubs != nil && (posted || chunk == nil) {
-					// Drain the hub board: expand budget-sized edge
-					// ranges of posted hubs with the same double-checked
-					// claim as above.
-					did := false
-					for {
-						u, elo, ehi, ok := hubs.claim(budget)
-						if !ok {
-							break
-						}
-						did = true
-						stats.Edges += ehi - elo
-						for _, v := range tgts[elo:ehi] {
-							if !o.DisableDoubleCheck {
-								stats.BitmapReads++
-								if s.visited.Get(int(v)) {
-									continue
-								}
-							}
-							stats.AtomicOps++
-							if !s.visited.TestAndSet(int(v)) {
-								s.parents[v] = u
-								myReached++
-								local = append(local, v)
-								if len(local) == cap(local) {
-									flush()
-								}
-							}
-						}
-					}
-					if chunk == nil && !did {
-						break
-					}
-				} else if chunk == nil {
-					break
-				}
-			}
-			flush()
-			wr.PhaseEnd(obs.PhaseLocalScan, tp)
-		}
-		myEdges += stats.Edges
-		s.stats.add(w, stats)
-
-		tp := wr.PhaseStart()
-		if s.bar.wait() {
-			s.advanceHybrid()
-		}
-		wr.PhaseEnd(obs.PhaseBarrierWait, tp)
-		if s.bar.wait() {
-			s.stats.foldPhases(!s.done.Load())
-		}
-		wr.NextLevel()
-		if s.done.Load() {
-			ws.edges = myEdges
-			ws.reached = myReached
-			return
-		}
-		prev, limit = s.prevLimit, s.limit
+	// Build the frontier bitmap from an index partition of the current
+	// window: worker w sets the bits of its chunk, O(frontier/P) rather
+	// than every worker filter-scanning the whole frontier
+	// (O(frontier*P) total). Chunks hold arbitrary vertices, so bits are
+	// set with the atomic bitmap's word-OR.
+	tp := wr.PhaseStart()
+	frontierVerts := s.q.Window(s.prevLimit, s.limit)
+	flo := len(frontierVerts) * w / workers
+	fhi := len(frontierVerts) * (w + 1) / workers
+	for _, v := range frontierVerts[flo:fhi] {
+		s.frontier.Set(int(v))
 	}
+	wr.PhaseEnd(obs.PhaseFrontierBuild, tp)
+	tp = wr.PhaseStart()
+	s.bar.wait()
+	wr.PhaseEnd(obs.PhaseBarrierWait, tp)
+
+	// Bottom-up sweep over this worker's unvisited range. The
+	// cancellation checkpoint sits off the per-vertex path (the sweep's
+	// selling point is no atomics); an abort skips the rest of the range
+	// but still runs the flush, barrier and frontier-clear passes below,
+	// so no stale frontier bit or unqueued claim survives into the next
+	// search.
+	tp = wr.PhaseStart()
+	for v := lo; v < hi; v++ {
+		if v&4095 == 0 && s.aborted(&ws.checkpoints) {
+			break
+		}
+		if s.visited.Get(v) {
+			continue
+		}
+		ws.stats.BitmapReads++
+		for _, u := range gt.Neighbors(graph.Vertex(v)) {
+			ws.stats.Edges++
+			if s.frontier.Get(int(u)) {
+				// Sole owner of v: plain writes suffice.
+				s.visited.Set(v)
+				s.parents[v] = uint32(u)
+				ws.keep(uint32(v))
+				break
+			}
+		}
+	}
+	ws.flush()
+	wr.PhaseEnd(obs.PhaseBottomUpScan, tp)
+
+	// Everyone must finish sweeping before anyone clears: a cleared bit
+	// would hide a frontier parent from a worker still scanning,
+	// deferring the discovery one level and corrupting BFS depths.
+	tp = wr.PhaseStart()
+	s.bar.wait()
+	wr.PhaseEnd(obs.PhaseBarrierWait, tp)
+
+	// Clear this chunk's frontier bits for the next level — the same
+	// index partition and atomic word ops as the build pass.
+	tp = wr.PhaseStart()
+	for _, v := range frontierVerts[flo:fhi] {
+		s.frontier.Clear(int(v))
+	}
+	wr.PhaseEnd(obs.PhaseFrontierBuild, tp)
 }
 
-// advanceHybrid is the direction-optimizing level transition, run by
-// the coordinator elected at the closing barrier: credit the frontier
-// (bottom-up levels expand without popping, so worker counters miss
-// it), realign the consume cursor, advance the window, and apply the
-// alpha/beta direction switch.
-func (s *Searcher) advanceHybrid() {
-	s.checkCancelAtBarrier() // only ever sets done; bookkeeping proceeds
-	if s.hubs != nil {
-		s.hubs.reset()
-	}
+// switchDirection applies the alpha/beta rule to the size f of the next
+// frontier: leave bottom-up when it falls below n/beta, enter it when it
+// exceeds n/alpha.
+func (s *Searcher) switchDirection(f int64) {
 	if s.bottomUp.Load() {
-		// In bottom-up mode the frontier counter reflects the vertices
-		// expanded, which is the current window.
-		s.stats.creditFrontier(s.limit - s.prevLimit)
-	}
-	s.stats.fold(&s.perLevel, time.Since(s.levelStart))
-	s.levelStart = time.Now()
-	// Bottom-up levels read the window without popping, leaving the
-	// consume cursor behind; realign it so the next top-down level pops
-	// only the new window.
-	s.q.SkipTo(s.limit)
-	old := s.limit
-	s.limit = int64(s.q.Size())
-	s.prevLimit = old
-	s.levels++
-	f := s.limit - old
-	switch {
-	case f == 0 || (s.maxLevels > 0 && s.levels >= s.maxLevels):
-		s.done.Store(true)
-	case s.bottomUp.Load():
 		if f < int64(s.n/s.o.HybridBeta) {
 			s.bottomUp.Store(false)
 		}
-	default:
-		if f > int64(s.n/s.o.HybridAlpha) {
-			s.bottomUp.Store(true)
-		}
+	} else if f > int64(s.n/s.o.HybridAlpha) {
+		s.bottomUp.Store(true)
 	}
 }

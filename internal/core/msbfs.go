@@ -6,11 +6,9 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"mcbfs/internal/affinity"
 	"mcbfs/internal/bitmap"
 	"mcbfs/internal/graph"
 	"mcbfs/internal/obs"
@@ -142,6 +140,8 @@ type batchWorker struct {
 // be called concurrently. For concurrent batch streams, create one
 // BatchSearcher per stream (or use mcbfs.Pool's batching mode).
 type BatchSearcher struct {
+	workerPool
+
 	g       *graph.Graph
 	o       BatchOptions
 	n       int
@@ -168,11 +168,7 @@ type BatchSearcher struct {
 
 	ws []batchWorker
 
-	bar    *barrier
-	gate   *barrier
-	wg     sync.WaitGroup
-	closed bool
-	job    jobKind
+	bar *barrier
 
 	// Per-batch state, written by Search before the launch gate (the
 	// gate's mutex publishes it to the workers).
@@ -201,7 +197,7 @@ type BatchSearcher struct {
 // toolchain-portability reason.
 type laneCancel struct{ v atomic.Uint64 }
 
-func (c *laneCancel) Load() uint64  { return c.v.Load() }
+func (c *laneCancel) Load() uint64   { return c.v.Load() }
 func (c *laneCancel) Store(m uint64) { c.v.Store(m) }
 
 func (c *laneCancel) Or(m uint64) {
@@ -248,21 +244,20 @@ func NewBatchSearcher(g *graph.Graph, opt BatchOptions) (*BatchSearcher, error) 
 		perm, inv = rd.Perm, rd.Inv
 	}
 	b := &BatchSearcher{
-		g:       workGraph,
-		perm:    perm,
-		inv:     inv,
-		o:       o,
-		n:       n,
-		width:   o.Width,
-		workers: o.Threads,
-		seen:    bitmap.NewLanes(n),
-		visit:   bitmap.NewLanes(n),
+		g:         workGraph,
+		perm:      perm,
+		inv:       inv,
+		o:         o,
+		n:         n,
+		width:     o.Width,
+		workers:   o.Threads,
+		seen:      bitmap.NewLanes(n),
+		visit:     bitmap.NewLanes(n),
 		visitNext: bitmap.NewLanes(n),
-		parents: make([]uint32, n*o.Width),
-		touched: queue.NewChunkQueue(n),
-		ws:      make([]batchWorker, o.Threads),
-		bar:     newBarrier(o.Threads),
-		gate:    newBarrier(o.Threads + 1),
+		parents:   make([]uint32, n*o.Width),
+		touched:   queue.NewChunkQueue(n),
+		ws:        make([]batchWorker, o.Threads),
+		bar:       newBarrier(o.Threads),
 	}
 	for w := range b.ws {
 		b.ws[w].tbuf = make([]uint32, 0, 64)
@@ -278,46 +273,20 @@ func NewBatchSearcher(g *graph.Graph, opt BatchOptions) (*BatchSearcher, error) 
 		Levels:  make([]int, 0, o.Width),
 		Err:     make([]error, 0, o.Width),
 	}
-	b.wg.Add(b.workers)
-	for w := 0; w < b.workers; w++ {
-		go b.workerLoop(w)
-	}
+	b.start(b.workers, o.PinThreads, b.runWorker)
 	return b, nil
 }
 
 // Width returns the session's lane capacity.
 func (b *BatchSearcher) Width() int { return b.width }
 
-// workerLoop is one persistent pool worker, parked on the gate between
-// jobs exactly as a Searcher worker is.
-func (b *BatchSearcher) workerLoop(w int) {
-	defer b.wg.Done()
-	if b.o.PinThreads {
-		if unpin, err := affinity.PinToCPU(w); err == nil {
-			defer unpin()
-		}
+// runWorker is the pool's job dispatcher.
+func (b *BatchSearcher) runWorker(w int, kind jobKind) {
+	if kind == jobClear {
+		b.clearShard(w)
+		return
 	}
-	for {
-		b.gate.wait()
-		if b.closed {
-			return
-		}
-		switch b.job {
-		case jobSearch:
-			b.batchWorker(w)
-		case jobClear:
-			b.clearShard(w)
-		}
-		b.gate.wait()
-	}
-}
-
-// runJob hands the prepared job to the pool and blocks until every
-// worker has finished it.
-func (b *BatchSearcher) runJob(kind jobKind) {
-	b.job = kind
-	b.gate.wait()
-	b.gate.wait()
+	b.batchWorker(w)
 }
 
 // vertexRange is worker w's static share of the frontier vectors:
@@ -685,24 +654,6 @@ func (b *BatchSearcher) advanceBatch() {
 	b.visit, b.visitNext = b.visitNext, b.visit
 	b.activeMask = b.laneMask &^ cm
 }
-
-// Close shuts down the worker pool and joins it, exactly as
-// Searcher.Close. Close is idempotent but must not run concurrently
-// with Search.
-func (b *BatchSearcher) Close() error {
-	if b.closed {
-		return nil
-	}
-	b.closed = true
-	b.gate.wait()
-	b.wg.Wait()
-	return nil
-}
-
-// Closed reports whether Close has completed on this BatchSearcher, for
-// owners verifying teardown (e.g. a serving pool rebinding its batch
-// runners to a new graph snapshot).
-func (b *BatchSearcher) Closed() bool { return b.closed }
 
 // laneAll returns the mask of the first lanes lane bits, handling the
 // full 64-lane case where 1<<64 would overflow.

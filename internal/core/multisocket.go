@@ -3,12 +3,11 @@ package core
 import (
 	"time"
 
-	"mcbfs/internal/graph"
 	"mcbfs/internal/obs"
 	"mcbfs/internal/queue"
 )
 
-// multiSocketWorker is the paper's Algorithm 3, the multi-socket tier.
+// The paper's Algorithm 3, the multi-socket tier.
 //
 // The graph's vertex range, the parent array and the visited bitmap are
 // partitioned into contiguous per-socket blocks (Algorithm 3 line 2).
@@ -22,10 +21,11 @@ import (
 //
 // Each level runs in two phases separated by barriers:
 //
-//	phase 1: expand the local current queue; local discoveries are
-//	         claimed immediately, remote ones batched into channels;
+//	phase 1: expand the socket's current window (the shared level
+//	         driver, with socketScan as its kernel); owned discoveries
+//	         are claimed immediately, remote ones batched into channels;
 //	phase 2: drain the socket's own channel, claiming the delivered
-//	         tuples exactly as local ones.
+//	         tuples exactly as owned ones (exchange).
 //
 // On the logical machine of this reproduction the "sockets" are
 // goroutine groups; the data partitioning, channel wiring and two-phase
@@ -33,204 +33,118 @@ import (
 // monotone — its level window advanced by the coordinator — so the
 // union of the per-socket queues is the reached list the session's
 // O(touched) reset walks.
-func (s *Searcher) multiSocketWorker(w int) {
-	ws := &s.ws[w]
-	wr := s.coll.Worker(w)
-	o := &s.o
-	g := s.g
-	offs := g.Offsets()
-	tgts := g.Targets()
-	budget := s.edgeBudget
-	hubs := s.hubs
-	var myEdges, myReached int64
-	this := o.Machine.SocketOfThread(w, s.workers)
-	myQ := s.qs[this]
-	local := ws.local[:0]
-	remote := ws.remote
-	recvBuf := ws.recvBuf
-	limit := s.sockLimit[this]
 
-	// claim runs the double-checked visitation protocol for a vertex
-	// owned by this socket and appends winners to the local batch.
-	claim := func(v, parent uint32, stats *LevelStats) {
-		if !o.DisableDoubleCheck {
-			stats.BitmapReads++
-			if s.visited.Get(int(v)) {
-				return
-			}
+// ownedBlock caps the multi-socket kernel's owned-target block: how
+// many owned targets (or delivered tuples sharing a parent) go through
+// one call of the bitmap claim.
+const ownedBlock = 256
+
+// socketScan is Algorithm 3's claim-or-send kernel: a target owned by
+// another socket is batched for that socket's channel, and the owned
+// targets are claimed through the session's bitmap claim (Searcher.own)
+// in blocks of cap(ws.owned).
+func (ws *searchWorker) socketScan(u uint32, nbrs []uint32) {
+	s := ws.s
+	own := ws.owned[:0]
+	for _, v := range nbrs {
+		if sck := s.part.DetermineSocket(v); sck != ws.socket {
+			ws.send(sck, queue.Tuple{V: v, Parent: u})
+			continue
 		}
-		stats.AtomicOps++
-		if !s.visited.TestAndSet(int(v)) {
-			s.parents[v] = parent
-			myReached++
-			local = append(local, v)
-			if len(local) == cap(local) {
-				myQ.PushBatch(local)
-				local = local[:0]
-			}
+		own = append(own, v)
+		if len(own) == cap(own) {
+			s.own(ws, u, own)
+			own = own[:0]
 		}
 	}
+	if len(own) > 0 {
+		s.own(ws, u, own)
+	}
+}
 
-	checkpoints := 0
-	for {
-		var stats LevelStats
+// send appends a tuple to the batch for socket sck, handing the batch
+// to that socket's channel when full.
+func (ws *searchWorker) send(sck int, t queue.Tuple) {
+	ws.stats.RemoteSends++
+	b := append(ws.remote[sck], t)
+	if len(b) == cap(b) {
+		ws.s.channels[sck].SendBatch(b)
+		ws.wr.RemoteBatch(sck, len(b))
+		b = b[:0]
+	}
+	ws.remote[sck] = b
+}
 
-		// Phase 1: expand the local frontier.
-		tp := wr.PhaseStart()
+// exchange ends phase 1 of a multi-socket level and runs phase 2. tp is
+// the start of the worker's phase-1 scan.
+func (s *Searcher) exchange(ws *searchWorker, tp time.Time) {
+	wr := ws.wr
+	// End-of-phase flush of the partial batches, skipping empty ones:
+	// in late levels most destinations have nothing pending, and an
+	// empty flush is pure overhead — a per-socket call per worker per
+	// level and zero-length tracer-hook noise. On abort the batches are
+	// dropped rather than sent: their tuples were never claimed
+	// anywhere, and phase 2 discards in-flight ones.
+	cancelled := s.cancel.Load()
+	for sck, b := range ws.remote {
+		if len(b) == 0 {
+			continue
+		}
+		if !cancelled {
+			s.channels[sck].SendBatch(b)
+			wr.RemoteBatch(sck, len(b))
+		}
+		ws.remote[sck] = b[:0]
+	}
+	wr.PhaseEnd(obs.PhaseLocalScan, tp)
+
+	// All sends for this level are complete once every worker reaches
+	// the barrier; only then may anyone drain.
+	tp = wr.PhaseStart()
+	s.bar.wait()
+	wr.PhaseEnd(obs.PhaseBarrierWait, tp)
+
+	// Phase 2: drain this socket's channel. The drain must run even on
+	// abort — a tuple left in a channel would be claimed by the *next*
+	// search and corrupt its tree — but an aborting worker discards
+	// instead of claiming, keeping the unwind bounded by what was
+	// already sent. Workers of one socket may mix the two modes during
+	// an abort race; both leave the channel empty and every claim on
+	// the touched list.
+	tp = wr.PhaseStart()
+	ch := s.channels[ws.socket]
+	if s.cancel.Load() {
+		ch.DiscardAll()
+	} else {
 		for {
-			// Cancellation checkpoint. Locally claimed vertices are in
-			// local/myQ and survive into the touched list; remote tuples
-			// are unclaimed by construction (the receiving socket claims
-			// them), so the abort path may drop them.
-			if s.aborted(&checkpoints) {
+			got := ch.ReceiveBatch(ws.recvBuf)
+			if got == 0 {
 				break
 			}
-			var chunk []uint32
-			if budget > 0 {
-				chunk = myQ.PopChunkEdges(o.ChunkSize, budget, limit, offs)
-				if chunk == nil {
-					// Own window drained: steal a budgeted chunk from
-					// the busiest sibling socket's window instead of
-					// idling at the phase barrier. The expansion below
-					// is symmetric in the expander's own socket —
-					// local targets are claimed, remote ones travel
-					// through the owner's channel — so a stolen chunk
-					// needs no special handling.
-					chunk = s.stealChunk(this)
-					if chunk != nil {
-						stats.Steals++
-					}
-				}
-			} else {
-				chunk = myQ.PopChunkBounded(o.ChunkSize, limit)
-			}
-			posted := false
-			for _, u := range chunk {
-				if hubs != nil && offs[u+1]-offs[u] > budget {
-					hubs.post(u, offs[u], offs[u+1])
-					stats.Frontier++
-					posted = true
-					continue
-				}
-				nbrs := g.Neighbors(graph.Vertex(u))
-				stats.Frontier++
-				stats.Edges += int64(len(nbrs))
-				for _, v := range nbrs {
-					sck := s.part.DetermineSocket(v)
-					if sck == this {
-						claim(v, u, &stats)
-						continue
-					}
-					stats.RemoteSends++
-					remote[sck] = append(remote[sck], queue.Tuple{V: v, Parent: u})
-					if len(remote[sck]) == cap(remote[sck]) {
-						s.channels[sck].SendBatch(remote[sck])
-						wr.RemoteBatch(sck, len(remote[sck]))
-						remote[sck] = remote[sck][:0]
-					}
-				}
-			}
-			if hubs != nil && (posted || chunk == nil) {
-				// Drain the hub board with the claim-or-send expansion.
-				did := false
-				for {
-					u, elo, ehi, ok := hubs.claim(budget)
-					if !ok {
-						break
-					}
-					did = true
-					stats.Edges += ehi - elo
-					for _, v := range tgts[elo:ehi] {
-						sck := s.part.DetermineSocket(v)
-						if sck == this {
-							claim(v, u, &stats)
-							continue
-						}
-						stats.RemoteSends++
-						remote[sck] = append(remote[sck], queue.Tuple{V: v, Parent: u})
-						if len(remote[sck]) == cap(remote[sck]) {
-							s.channels[sck].SendBatch(remote[sck])
-							wr.RemoteBatch(sck, len(remote[sck]))
-							remote[sck] = remote[sck][:0]
-						}
-					}
-				}
-				if chunk == nil && !did {
-					break
-				}
-			} else if chunk == nil {
-				break
-			}
+			ws.claimTuples(ws.recvBuf[:got])
 		}
-		// End-of-phase flush of the partial batches, skipping empty
-		// ones: in late levels most destinations have nothing pending,
-		// and an empty flush is pure overhead — a per-socket call per
-		// worker per level and zero-length tracer-hook noise. On abort
-		// the batches are dropped rather than sent: their tuples were
-		// never claimed anywhere, and phase 2 discards in-flight ones.
-		cancelled := s.cancel.Load()
-		for sck := range remote {
-			if len(remote[sck]) == 0 {
-				continue
-			}
-			if cancelled {
-				remote[sck] = remote[sck][:0]
-				continue
-			}
-			s.channels[sck].SendBatch(remote[sck])
-			wr.RemoteBatch(sck, len(remote[sck]))
-			remote[sck] = remote[sck][:0]
-		}
-		wr.PhaseEnd(obs.PhaseLocalScan, tp)
+	}
+	ws.flush()
+	wr.PhaseEnd(obs.PhaseQueueDrain, tp)
+}
 
-		// All sends for this level are complete once every worker
-		// reaches the barrier; only then may anyone drain.
-		tp = wr.PhaseStart()
-		s.bar.wait()
-		wr.PhaseEnd(obs.PhaseBarrierWait, tp)
-
-		// Phase 2: drain this socket's channel. The drain must run even
-		// on abort — a tuple left in a channel would be claimed by the
-		// *next* search and corrupt its tree — but an aborting worker
-		// discards instead of claiming, keeping the unwind bounded by
-		// what was already sent. Workers of one socket may mix the two
-		// modes during an abort race; both leave the channel empty and
-		// every claim on the touched list.
-		tp = wr.PhaseStart()
-		if s.cancel.Load() {
-			s.channels[this].DiscardAll()
-		} else {
-			for {
-				got := s.channels[this].ReceiveBatch(recvBuf)
-				if got == 0 {
-					break
-				}
-				for _, t := range recvBuf[:got] {
-					claim(t.V, t.Parent, &stats)
-				}
-			}
+// claimTuples claims delivered tuples through the session's bitmap
+// claim. A sender batches a vertex's remote targets consecutively, so
+// runs of tuples sharing a parent go through Searcher.own together,
+// exactly as the owned targets of a scan.
+func (ws *searchWorker) claimTuples(ts []queue.Tuple) {
+	own := ws.owned[:0]
+	var parent uint32
+	for _, t := range ts {
+		if len(own) > 0 && (t.Parent != parent || len(own) == cap(own)) {
+			ws.s.own(ws, parent, own)
+			own = own[:0]
 		}
-		myQ.PushBatch(local)
-		local = local[:0]
-		wr.PhaseEnd(obs.PhaseQueueDrain, tp)
-		myEdges += stats.Edges
-		s.stats.add(w, stats)
-
-		tp = wr.PhaseStart()
-		if s.bar.wait() {
-			s.advanceMulti()
-		}
-		wr.PhaseEnd(obs.PhaseBarrierWait, tp)
-		if s.bar.wait() {
-			s.stats.foldPhases(!s.done.Load())
-		}
-		wr.NextLevel()
-		if s.done.Load() {
-			ws.edges = myEdges
-			ws.reached = myReached
-			return
-		}
-		limit = s.sockLimit[this]
+		parent = t.Parent
+		own = append(own, t.V)
+	}
+	if len(own) > 0 {
+		ws.s.own(ws, parent, own)
 	}
 }
 
@@ -267,17 +181,11 @@ func (s *Searcher) stealChunk(this int) []uint32 {
 	}
 }
 
-// advanceMulti is the multi-socket level transition, run by the
-// coordinator elected at the closing barrier: sample the channels (no
-// sends are in flight between the barriers, so the per-level deltas are
-// exact), advance every socket's queue window, decide termination.
-func (s *Searcher) advanceMulti() {
-	s.checkCancelAtBarrier() // only ever sets done; bookkeeping proceeds
-	if s.hubs != nil {
-		s.hubs.reset()
-	}
-	s.stats.fold(&s.perLevel, time.Since(s.levelStart))
-	s.levelStart = time.Now()
+// advanceSockets is the multi-socket part of the level transition:
+// sample the channels (no sends are in flight between the barriers, so
+// the per-level deltas are exact) and advance every socket's queue
+// window. It returns the size of the next level's frontier.
+func (s *Searcher) advanceSockets() int64 {
 	if s.chanStats && s.coll != nil {
 		for sck, c := range s.channels {
 			cs := c.Stats()
@@ -293,8 +201,5 @@ func (s *Searcher) advanceMulti() {
 		total += sz - s.sockLimit[sck]
 		s.sockLimit[sck] = sz
 	}
-	s.levels++
-	if total == 0 || (s.maxLevels > 0 && s.levels >= s.maxLevels) {
-		s.done.Store(true)
-	}
+	return total
 }

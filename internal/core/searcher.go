@@ -4,11 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"mcbfs/internal/affinity"
 	"mcbfs/internal/bitmap"
 	"mcbfs/internal/graph"
 	"mcbfs/internal/obs"
@@ -27,34 +25,34 @@ type Query struct {
 	MaxLevels int
 }
 
-// jobKind is what the worker pool is asked to run between gates.
-type jobKind int
-
-const (
-	jobSearch jobKind = iota
-	jobClear
-)
-
-// searchWorker is one pool worker's pooled per-search scratch. The
-// slice fields are sized once (NewSearcher / ensureTier) and reused
-// every search, so a warm search allocates none of them. The trailing
-// pad keeps the end-of-search counter writes of adjacent workers off a
-// shared cache line.
+// searchWorker is one pool worker's per-search state, the receiver of
+// the level driver's edge-range kernels. The slice fields are sized
+// once (NewSearcher / ensureTier) and reused every search, so a warm
+// search allocates none of them. The trailing pad keeps the hot
+// counters of adjacent workers off a shared cache line.
 type searchWorker struct {
+	s  *Searcher
+	wr *obs.WorkerRec
+	// q is the queue the worker pops its window from and flushes its
+	// claims into: the shared queue, or its socket's in the multi-socket
+	// tier.
+	q      *queue.ChunkQueue
+	socket int
+	// stats holds the current level's counts; checkpoints is the
+	// cancellation-probe counter (see aborted).
+	stats       LevelStats
+	checkpoints int
 	// local is the claimed-vertex batch (cap Options.LocalBatch),
-	// flushed into the next-level window of the tier's queue when full.
+	// flushed into the next-level window of q when full.
 	local []uint32
-	// probeHit backs the software-pipelined probe block
-	// (cap Options.ProbeBatch; nil when disabled).
-	probeHit []bool
-	// remote and recvBuf are the multi-socket tier's per-destination
-	// send batches and channel receive buffer (nil until that tier is
-	// first used).
+	// owned, remote and recvBuf are the multi-socket tier's owned-target
+	// block, per-destination send batches and channel receive buffer
+	// (nil until that tier is first used).
+	owned   []uint32
 	remote  [][]queue.Tuple
 	recvBuf []queue.Tuple
-	// edges and reached are the worker's run totals, written once as the
-	// worker finishes a search and read by the caller after the finish
-	// gate.
+	// edges and reached are the worker's run totals, read by the caller
+	// after the finish gate.
 	edges, reached int64
 	_              [64]byte
 }
@@ -80,6 +78,8 @@ type searchWorker struct {
 // not be called concurrently. For concurrent query streams, create one
 // Searcher per stream — Searchers over the same graph are independent.
 type Searcher struct {
+	workerPool
+
 	g       *graph.Graph
 	gt      *graph.Graph // transpose; direction-optimizing tier only (lazy)
 	o       Options      // session options, resolved by withDefaults
@@ -125,24 +125,16 @@ type Searcher struct {
 	ws    []searchWorker
 	slots []statSlot // statsCollector backing, reused across searches
 
-	// bar synchronizes the workers inside a search (workers parties);
-	// gate hands jobs between the caller and the pool (workers+1
-	// parties, used alternately as launch and finish). The gate's mutex
-	// is what publishes the caller's pre-launch writes to the workers
-	// and the workers' finish writes back. wg joins the pool goroutines
-	// in Close (each worker's deferred unpin must complete before Close
-	// returns, or it could race the pinning of a successor's workers).
-	bar    *barrier
-	gate   *barrier
-	wg     sync.WaitGroup
-	closed bool
+	// bar synchronizes the workers inside a search.
+	bar *barrier
 
 	// Per-search job description: written by Search before the launch
-	// gate, read by workers after it.
-	job       jobKind
+	// gate, read by workers after it. scan and own are the tier's
+	// edge-range kernels (see topDownKernels).
 	alg       Algorithm
 	maxLevels int
 	coll      *obs.Collector
+	scan, own edgeKernel
 
 	// collCache is the pooled obs collector, reused across searches via
 	// Collector.Reset whenever the tier's worker count is unchanged, so
@@ -240,7 +232,6 @@ func NewSearcher(g *graph.Graph, opt Options) (*Searcher, error) {
 		ws:      make([]searchWorker, o.Threads),
 		slots:   make([]statSlot, o.Threads),
 		bar:     newBarrier(o.Threads),
-		gate:    newBarrier(o.Threads + 1),
 	}
 	if perm != nil {
 		s.extParents = newParents(n)
@@ -252,10 +243,8 @@ func NewSearcher(g *graph.Graph, opt Options) (*Searcher, error) {
 		s.hubs = newHubBoard(workGraph, s.edgeBudget)
 	}
 	for w := range s.ws {
+		s.ws[w].s = s
 		s.ws[w].local = make([]uint32, 0, o.LocalBatch)
-		if o.ProbeBatch > 0 {
-			s.ws[w].probeHit = make([]bool, o.ProbeBatch)
-		}
 	}
 	s.runTracer = o.Tracer
 	if o.Telemetry != nil {
@@ -270,10 +259,7 @@ func NewSearcher(g *graph.Graph, opt Options) (*Searcher, error) {
 	if err := s.ensureTier(o.Algorithm); err != nil {
 		return nil, err
 	}
-	s.wg.Add(s.workers)
-	for w := 0; w < s.workers; w++ {
-		go s.workerLoop(w)
-	}
+	s.start(s.workers, o.PinThreads, s.runWorker)
 	return s, nil
 }
 
@@ -342,6 +328,7 @@ func (s *Searcher) ensureTier(alg Algorithm) error {
 					s.ws[w].remote[sck] = make([]queue.Tuple, 0, s.o.BatchSize)
 				}
 				s.ws[w].recvBuf = make([]queue.Tuple, s.o.BatchSize)
+				s.ws[w].owned = make([]uint32, 0, ownedBlock)
 			}
 		}
 		// Channel counters cannot be disabled once on, so they are
@@ -358,48 +345,14 @@ func (s *Searcher) ensureTier(alg Algorithm) error {
 	return nil
 }
 
-// workerLoop is one persistent pool worker: pinned once for the
-// session's lifetime when PinThreads is set, then parked on the gate
-// between jobs.
-func (s *Searcher) workerLoop(w int) {
-	// Registered first so it runs last: the deferred unpin below must
-	// have restored the OS thread before Close's join observes the exit.
-	defer s.wg.Done()
-	if s.o.PinThreads {
-		if unpin, err := affinity.PinToCPU(w); err == nil {
-			defer unpin()
-		}
+// runWorker is the pool's job dispatcher. The sequential tier never
+// reaches the pool: it runs inline on the caller's goroutine.
+func (s *Searcher) runWorker(w int, kind jobKind) {
+	if kind == jobClear {
+		s.clearShard(w)
+		return
 	}
-	for {
-		s.gate.wait()
-		if s.closed {
-			return
-		}
-		switch s.job {
-		case jobSearch:
-			switch s.alg {
-			case AlgParallelSimple:
-				s.simpleWorker(w)
-			case AlgSingleSocket:
-				s.singleSocketWorker(w)
-			case AlgMultiSocket:
-				s.multiSocketWorker(w)
-			case AlgDirectionOptimizing:
-				s.hybridWorker(w)
-			}
-		case jobClear:
-			s.clearShard(w)
-		}
-		s.gate.wait()
-	}
-}
-
-// runJob hands the prepared job to the pool and blocks until every
-// worker has finished it.
-func (s *Searcher) runJob(kind jobKind) {
-	s.job = kind
-	s.gate.wait()
-	s.gate.wait()
+	s.levelWorker(w)
 }
 
 // clearShard is worker w's share of the parallel full-reset fallback:
@@ -610,6 +563,7 @@ func (s *Searcher) SearchContext(ctx context.Context, root graph.Vertex, q Query
 	s.maxLevels = maxLevels
 	s.levels = 0
 	s.done.Store(false)
+	s.bottomUp.Store(false)
 	if s.o.Instrument {
 		s.perLevel = s.perLevel[:0]
 	} else {
@@ -634,6 +588,7 @@ func (s *Searcher) SearchContext(ctx context.Context, root graph.Vertex, q Query
 		edges, reached = s.sequentialSearch()
 	} else {
 		s.stats.arm(s.o.Instrument, s.coll, s.slots)
+		s.scan, s.own = topDownKernels(alg, s.o.DisableDoubleCheck)
 		if alg == AlgMultiSocket {
 			s.qs[s.part.DetermineSocket(uint32(iroot))].Push(uint32(iroot))
 			for i := range s.sockLimit {
@@ -651,7 +606,6 @@ func (s *Searcher) SearchContext(ctx context.Context, root graph.Vertex, q Query
 			s.q.Push(uint32(iroot))
 			s.prevLimit = 0
 			s.limit = 1
-			s.bottomUp.Store(false)
 		}
 		s.parents[iroot] = uint32(iroot)
 		switch alg {
@@ -774,24 +728,3 @@ func (c levelCapture) OnLevelEnd(level int, b obs.LevelBreakdown) {
 func (c levelCapture) OnRemoteBatch(level, worker, toSocket, tuples int) {}
 
 func (c levelCapture) OnBarrierWait(level, worker int, wait time.Duration) {}
-
-// Close shuts down the worker pool and joins it: when Close returns,
-// every pool goroutine has exited and (under PinThreads) restored its
-// OS thread's affinity, so a successor Searcher's workers cannot race
-// the unpinning. Results returned earlier (and their Parents) remain
-// readable; further Search calls fail. Close is idempotent but must not
-// run concurrently with Search.
-func (s *Searcher) Close() error {
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	s.gate.wait() // release the pool; workers observe closed and exit
-	s.wg.Wait()   // join: unpin deferreds have run when this returns
-	return nil
-}
-
-// Closed reports whether Close has completed on this Searcher. It is
-// meant for owners verifying teardown (e.g. a serving pool draining a
-// retired snapshot), not for synchronizing with a concurrent Close.
-func (s *Searcher) Closed() bool { return s.closed }
